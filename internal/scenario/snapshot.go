@@ -21,14 +21,14 @@ const scenarioKind = SnapshotKind
 
 // configDigest is the structural identity of a scenario embedded in every
 // snapshot: a snapshot may only be restored into a scenario wired from an
-// equivalent configuration (seed and execution knobs excluded — the RNG
-// state travels in the snapshot itself, and exchange parallelism is a
-// throughput knob that batched trajectories are invariant to). The
-// failure detector is part of the identity: a Delayed(3) trajectory is
-// not a Perfect one, and resuming across that divide must fail loudly.
-// The shard count is part of the identity too — unlike the worker
-// count, it keys the trajectory (boundary traffic drains through the
-// mailbox), so a 2-shard snapshot must not resume as a 4-shard run.
+// equivalent configuration. The seed is excluded because the RNG state
+// travels in the snapshot itself. Exchange parallelism is excluded
+// because it selects how the engine executes a round, not what state the
+// round starts from: the batched trajectory is byte-identical at every
+// worker count >= 1, so a batched snapshot resumes identically at any of
+// them. The failure detector is part of the identity: a Delayed(3)
+// trajectory is not a Perfect one, and resuming across that divide must
+// fail loudly.
 type configDigest struct {
 	w, h           int
 	step           float64
@@ -40,7 +40,6 @@ type configDigest struct {
 	fullCopyBackup bool
 	neighborK      int
 	detector       string
-	shards         int
 }
 
 // detectorIdentity names a detector configuration for the digest. The
@@ -73,17 +72,7 @@ func digestOf(cfg Config) configDigest {
 		k: cfg.K, split: int(cfg.Split), placement: int(cfg.Placement),
 		fullCopyBackup: cfg.FullCopyBackup, neighborK: cfg.NeighborK,
 		detector: detectorIdentity(cfg.Detector),
-		shards:   normalizedShards(cfg.Shards),
 	}
-}
-
-// normalizedShards folds the two spellings of "single engine" (0 and 1)
-// into one digest value, since they wire the identical topology.
-func normalizedShards(s int) int {
-	if s <= 1 {
-		return 1
-	}
-	return s
 }
 
 func (d configDigest) write(w *snap.Writer) {
@@ -98,7 +87,6 @@ func (d configDigest) write(w *snap.Writer) {
 	w.Bool(d.fullCopyBackup)
 	w.Int(d.neighborK)
 	w.String(d.detector)
-	w.Int(d.shards)
 }
 
 func readDigest(r *snap.Reader) configDigest {
@@ -114,7 +102,6 @@ func readDigest(r *snap.Reader) configDigest {
 	d.fullCopyBackup = r.Bool()
 	d.neighborK = r.Int()
 	d.detector = r.String()
-	d.shards = r.Int()
 	return d
 }
 

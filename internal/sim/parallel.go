@@ -33,13 +33,13 @@ package sim
 // goroutines (the engine goroutine itself executes as worker slot 0)
 // parked on per-worker wake channels across batches, rounds and even
 // Engine.Reset, so dispatching a batch costs a few channel operations
-// instead of goroutine spawns. Batches below a threshold — the tail of a
-// round, where the greedy matcher is down to a handful of conflicting
-// stragglers — are coalesced onto the inline slot-0 path and skip the
-// dispatch entirely (see SetTailCoalescing); because admitted steps are
+// instead of goroutine spawns. Batches smaller than twice the worker
+// count — the tail of a round, where the greedy matcher is down to a
+// handful of conflicting stragglers — run inline on slot 0 and skip the
+// dispatch entirely (see dispatchMin); because admitted steps are
 // node-disjoint and randomness is pre-split, the execution vehicle is
-// unobservable and results stay byte-identical with coalescing on or off,
-// at every worker count, and across pool resizes.
+// unobservable and results stay byte-identical whether a batch runs
+// inline or dispatched, at every worker count, and across pool resizes.
 //
 // Execution replays the plan: StepW re-derives the selected peer from the
 // same stream state PlanStep saw, so the plan stores nothing and the two
@@ -268,34 +268,10 @@ func (e *Engine) SetExchangeParallelism(n int) {
 	e.resizePool(n - 1)
 }
 
-// SetTailCoalescing sets the smallest batch size worth dispatching to the
-// worker pool: batches with fewer admitted steps — typically the tail of
-// a round, where only conflicting stragglers remain — execute inline on
-// the engine goroutine (worker slot 0) and skip the wake/park round-trip.
-// minBatch == 1 disables coalescing (every batch is dispatched while the
-// pool is non-empty); minBatch <= 0 restores the default of twice the
-// worker count. The threshold is a pure throughput knob: the batch
-// partition is unchanged and admitted steps are node-disjoint, so results
-// are byte-identical at every setting.
-func (e *Engine) SetTailCoalescing(minBatch int) {
-	if minBatch < 0 {
-		minBatch = 0
-	}
-	e.coalesceMin = minBatch
-}
-
-// TailCoalescing returns the configured coalescing threshold (0 = the
-// default of twice the worker count).
-func (e *Engine) TailCoalescing() int { return e.coalesceMin }
-
-// dispatchMin returns the effective smallest batch size handed to the
-// pool; smaller batches run inline on slot 0.
-func (e *Engine) dispatchMin() int {
-	if e.coalesceMin != 0 {
-		return e.coalesceMin
-	}
-	return 2 * (len(e.pool.workers) + 1)
-}
+// dispatchMin returns the smallest batch size handed to the pool: twice
+// the worker count. Smaller batches run inline on slot 0, where the
+// wake/park round-trip would cost more than the parallelism saves.
+func (e *Engine) dispatchMin() int { return 2 * (len(e.pool.workers) + 1) }
 
 // Close releases the engine's pool goroutines (joining them before it
 // returns) and is idempotent. The engine stays usable — batched passes
@@ -500,7 +476,7 @@ func (e *Engine) runBatched(bp Batched) {
 // execBatch steps every admitted step of the open batch and waits at the
 // barrier. Batches of at least dispatchMin steps wake helpers from the
 // persistent pool (the engine claims steps too, as slot 0); smaller ones
-// — the coalesced tail — run inline on slot 0 with no dispatch at all.
+// — the round's tail — run inline on slot 0 with no dispatch at all.
 // Per-worker meter charges are flushed after the barrier (sums commute).
 func (e *Engine) execBatch(bp Batched) {
 	bs := &e.bs

@@ -17,12 +17,12 @@
 // into batches of node-disjoint exchanges that execute across a persistent
 // worker pool — n-1 goroutines parked on wake channels across batches and
 // rounds, the engine goroutine itself being worker slot 0 — while batches
-// below a threshold (the conflict-bound tail of a round) coalesce onto the
-// inline slot-0 path and skip the dispatch (see parallel.go,
-// SetTailCoalescing). Same-seed results are byte-identical at every worker
-// count and every coalescing threshold, though the batched trajectory
-// differs from the sequential one (per-step randomness is pre-split
-// instead of drawn from one shared stream).
+// smaller than twice the worker count (the conflict-bound tail of a round)
+// run inline on slot 0 and skip the dispatch (see parallel.go). Same-seed
+// results are byte-identical at every worker count, though the batched
+// trajectory differs from the sequential one (per-step randomness is
+// pre-split instead of drawn from one shared stream). These are the
+// engine's only two schedulers: sequential and batched.
 //
 // Engines are reusable: Engine.Reset(seed, layers...) returns one to its
 // freshly-constructed state while keeping every grown backing array and
@@ -109,19 +109,12 @@ type Engine struct {
 	// stream is the engine generator itself, so routing the sequential
 	// path through StepCtx changes nothing observable). pool holds the
 	// persistent exchange workers (exWorkers-1 parked goroutines; the
-	// engine goroutine is slot 0) and coalesceMin the tail-coalescing
-	// threshold (see SetTailCoalescing).
-	exWorkers   int
-	wctx        []*StepCtx
-	bs          batchState
-	seqCtx      *StepCtx
-	pool        exPool
-	coalesceMin int
-
-	// shardMap, when non-nil, opts the engine into sharded execution
-	// (see SetShardMap and sharded.go); ss is its pooled scratch.
-	shardMap ShardMap
-	ss       shardState
+	// engine goroutine is slot 0).
+	exWorkers int
+	wctx      []*StepCtx
+	bs        batchState
+	seqCtx    *StepCtx
+	pool      exPool
 }
 
 // New returns an engine seeded with seed and running the given layers,
@@ -149,11 +142,11 @@ func New(seed uint64, layers ...Protocol) *Engine {
 // produced, while retaining every backing array it has grown — the live
 // set, the step-order buffer, the batch scheduler's arenas and per-worker
 // contexts, the meter's ledgers — and the persistent exchange-worker pool
-// (the configured parallelism and tail-coalescing threshold survive the
-// reset; they describe the engine, not the run). Sweeps that execute many
-// same-size cells reuse one engine per concurrent worker this way instead
-// of allocating (and, at worker counts >= 2, re-spawning pool goroutines
-// for) a fresh engine per cell.
+// (the configured parallelism survives the reset; it describes the
+// engine, not the run). Sweeps that execute many same-size cells reuse
+// one engine per concurrent worker this way instead of allocating (and,
+// at worker counts >= 2, re-spawning pool goroutines for) a fresh engine
+// per cell.
 //
 // A reset engine is observably indistinguishable from a fresh one: for a
 // fixed seed and layer stack, the trajectory is byte-identical (pinned by
@@ -169,7 +162,6 @@ func (e *Engine) Reset(seed uint64, layers ...Protocol) {
 	clear(e.events)
 	e.observers = e.observers[:0]
 	e.publish = nil
-	e.shardMap = nil
 	e.meter.reset()
 	e.curLayer = -1
 	e.layerLedger = e.layerLedger[:0]
@@ -354,11 +346,6 @@ func (e *Engine) runOne() {
 		ev(e)
 	}
 	delete(e.events, e.round)
-	if e.shardMap != nil {
-		// Refresh the node→shard table before any layer steps, so nodes
-		// injected by this round's events are routed too.
-		e.shardMap.Assign(e)
-	}
 
 	// One shuffle per round, into a buffer reused across rounds; every
 	// layer walks the same order. A node may die mid-round (killed by a
@@ -368,9 +355,7 @@ func (e *Engine) runOne() {
 
 	for i, layer := range e.layers {
 		e.curLayer = e.layerLedger[i]
-		if bp, ok := layer.(Batched); ok && e.shardMap != nil && bp.Batchable() {
-			e.runSharded(bp)
-		} else if bp, ok := layer.(Batched); ok && e.exWorkers > 0 && bp.Batchable() {
+		if bp, ok := layer.(Batched); ok && e.exWorkers > 0 && bp.Batchable() {
 			e.runBatched(bp)
 		} else {
 			for _, id := range e.order {

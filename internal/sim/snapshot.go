@@ -31,8 +31,8 @@ const engineKind = "engine"
 // failures/reinjections inline (as the scenario drivers do) instead of
 // scheduling them ahead.
 //
-// Worker-pool configuration (exchange parallelism, tail coalescing) and
-// registered observers are deliberately not part of a snapshot: they
+// Worker-pool configuration (exchange parallelism) and registered
+// observers are deliberately not part of a snapshot: they
 // describe the engine and its harness, not the simulated state, and the
 // batched scheduler re-derives all per-step randomness from the engine
 // generator, so restoring the RNG state alone reproduces batched

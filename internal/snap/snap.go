@@ -32,7 +32,7 @@ import (
 
 // Version is the current snapshot format version. Restore rejects any
 // other version outright: the format has no cross-version migration.
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'P', 'S', 'Y', 'S', 'N', 'A', 'P', 0}
 
