@@ -6,9 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 
-	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 )
@@ -113,20 +111,7 @@ func (s *System) Snapshot(w io.Writer) error {
 	var sw snap.Writer
 	s.digest().write(&sw)
 
-	ids := make([]sim.NodeID, 0, len(s.fixedPos))
-	for id := range s.fixedPos {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sw.Len(len(ids))
-	for _, id := range ids {
-		sw.Int(int(id))
-		p := s.fixedPos[id]
-		sw.Len(len(p))
-		for _, c := range p {
-			sw.F64(c)
-		}
-	}
+	snap.WriteArenaTail(&sw, s.fixed, len(s.shape))
 
 	if err := s.engine.SnapshotState(&sw); err != nil {
 		return err
@@ -148,19 +133,8 @@ func (s *System) Restore(rd io.Reader) error {
 	r := snap.NewReader(body)
 	got := readSystemDigest(r)
 
-	nFixed := r.Len(16)
-	fixedIDs := make([]sim.NodeID, nFixed)
-	fixedPts := make([]space.Point, nFixed)
-	for i := 0; i < nFixed; i++ {
-		fixedIDs[i] = sim.NodeID(r.Int())
-		n := r.Len(8)
-		p := make(space.Point, n)
-		for j := range p {
-			p[j] = r.F64()
-		}
-		fixedPts[i] = p
-	}
-	if err := r.Err(); err != nil {
+	fixed, err := snap.ReadArenaTail(r, s.space.Dim(), len(s.shape))
+	if err != nil {
 		return err
 	}
 	if want := s.digest(); got != want {
@@ -177,9 +151,6 @@ func (s *System) Restore(rd io.Reader) error {
 		return fmt.Errorf("polystyrene: %d trailing bytes in snapshot", r.Remaining())
 	}
 
-	clear(s.fixedPos)
-	for i, id := range fixedIDs {
-		s.fixedPos[id] = fixedPts[i]
-	}
+	s.fixed.ReplaceTail(len(s.shape), fixed)
 	return nil
 }

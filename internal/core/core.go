@@ -47,9 +47,9 @@
 // not NodeID, so its mutations are deferred into per-worker logs and
 // applied at each batch barrier in step order; and the neighbour-window
 // rankings read the *positions* of arbitrary overlay candidates, so the
-// layer snapshots all node positions at the start of its batched pass
-// (Position serves the snapshot while the pass runs) to make rankings
-// independent of concurrent projections. Pooled scratch lives in
+// layer copies the position arena at the start of its batched pass
+// (Positions and Position serve the copy while the pass runs) to make
+// rankings independent of concurrent projections. Pooled scratch lives in
 // per-worker slots — slot 0 is the sequential engine's — and the batch
 // matcher mirrors the step's peer/target selection on a dedicated plan
 // scratch without mutating anything.
@@ -232,19 +232,18 @@ type backupRef struct {
 	pushed []space.PointID
 }
 
-// nodeState is the per-node state of Table I in the paper.
+// nodeState is the per-node state of Table I in the paper; the node's
+// virtual position lives in the layer's position arena instead.
 type nodeState struct {
 	// guests are the data points this node currently hosts (primary
 	// copies), unique within the slice; guestIDs carries their interned
 	// identities in lockstep.
 	guests   []space.Point
 	guestIDs []space.PointID
-	// pos is the node's virtual position: the medoid of guests, or the
-	// last known position when guests is empty. posDirty records that the
-	// guest set changed since pos was last projected, so the O(g²) medoid
-	// scan only reruns on transitions (steady-state migrations that hand
-	// every point back skip it).
-	pos      space.Point
+	// posDirty records that the guest set changed since the node's
+	// position was last projected, so the O(g²) medoid scan only reruns
+	// on transitions (steady-state migrations that hand every point back
+	// skip it).
 	posDirty bool
 	// ghosts maps an origin node to the inactive copies it pushed here.
 	ghosts map[sim.NodeID]*ghostSet
@@ -317,9 +316,12 @@ type Protocol struct {
 	// overlay ranking) from PlanStep to StepW.
 	psiCache sim.WindowCache
 
-	// posSnap/snapOn freeze Position answers during a batched pass (see
-	// the package comment).
-	posSnap []space.Point
+	// pos is the position arena: slot id is node id's virtual position,
+	// the medoid of its guests, or the last known position when it hosts
+	// none. posSnap/snapOn freeze Positions answers during a batched pass
+	// (see the package comment).
+	pos     space.Arena
+	posSnap space.Arena
 	snapOn  bool
 }
 
@@ -341,6 +343,7 @@ func New(cfg Config) (*Protocol, error) {
 	}
 	p := &Protocol{
 		cfg: cfg,
+		pos: space.NewArena(cfg.Space.Dim()),
 		splitter: Splitter{
 			Kind:              cfg.Split,
 			Space:             cfg.Space,
@@ -389,10 +392,8 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 		p.nodes = append(p.nodes, nil)
 	}
 	pos, seed := p.cfg.InitialPoint(id)
-	st := &nodeState{
-		pos:    pos.Clone(),
-		ghosts: make(map[sim.NodeID]*ghostSet),
-	}
+	p.pos.Set(int(id), pos)
+	st := &nodeState{ghosts: make(map[sim.NodeID]*ghostSet)}
 	if seed {
 		pt := pos.Clone()
 		pid := p.cfg.Interner.Intern(pt)
@@ -727,7 +728,9 @@ func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 		sp = &scr.splitter
 		sp.Rng = ctx.Rand()
 	}
-	toP, toQ, idsP, idsQ := sp.Split(mp, mi, pst.pos, qst.pos)
+	// The live positions (not the pass snapshot) of the two conflict-set
+	// members: Split reads them before either is projected again.
+	toP, toQ, idsP, idsQ := sp.Split(mp, mi, p.pos.At(int(id)), p.pos.At(int(q)))
 	ptCost := sim.PointCost(p.cfg.Space.Dim())
 	// Pull: q ships its guests to p; push: p ships q's new set back.
 	ctx.Charge((len(qst.guests) + len(toQ)) * ptCost)
@@ -768,7 +771,7 @@ func (p *Protocol) project(id sim.NodeID) {
 	if len(st.guests) == 0 || !st.posDirty {
 		return
 	}
-	st.pos = space.MedoidPoint(p.cfg.Space, st.guests)
+	p.pos.Set(int(id), space.MedoidPoint(p.cfg.Space, st.guests))
 	st.posDirty = false
 }
 
@@ -794,18 +797,15 @@ func (p *Protocol) Batchable() bool {
 func (p *Protocol) PlanInvariant() bool { return true }
 
 // BeginBatchedRound implements sim.Batched: it sizes the per-worker
-// scratch (here and in the overlay below) and snapshots every node's
-// position. Migration and placement windows rank candidates by position;
-// serving those reads from a start-of-pass snapshot keeps rankings
-// identical no matter which projections have already run concurrently —
-// and therefore identical at every worker count.
+// scratch (here and in the overlay below) and copies the position arena.
+// Migration and placement windows rank candidates by position; serving
+// those reads from a start-of-pass copy keeps rankings identical no
+// matter which projections have already run concurrently — and
+// therefore identical at every worker count.
 func (p *Protocol) BeginBatchedRound(e *sim.Engine, workers int) {
 	p.ensureWorkers(workers)
 	p.wtopo.EnsureWorkers(workers)
-	p.posSnap = p.posSnap[:0]
-	for _, st := range p.nodes {
-		p.posSnap = append(p.posSnap, st.pos)
-	}
+	p.posSnap.CopyFrom(p.pos)
 	p.snapOn = true
 }
 
@@ -949,17 +949,28 @@ func (p *Protocol) EndBatchedRound(e *sim.Engine) {
 	p.holders.tick(e.NumLive())
 }
 
-// --- Accessors (used by the position func, metrics and tests) ---
+// --- Accessors (used by the overlay position handle, metrics and tests) ---
 
-// Position returns the node's current virtual position. It is valid for
-// dead nodes too (their last position), which T-Man needs while purging.
-// During the layer's own batched pass it serves the start-of-pass
-// snapshot, so concurrent neighbour rankings are scheduling-independent.
-func (p *Protocol) Position(id sim.NodeID) space.Point {
+// Positions returns the position arena readers should rank by: slot id
+// holds node id's current virtual position. It is valid for dead nodes
+// too (their last position), which T-Man needs while purging. During the
+// layer's own batched pass it serves the start-of-pass copy, so
+// concurrent neighbour rankings are scheduling-independent. This is the
+// handle the overlay layers below read positions through; points taken
+// from it are valid until the node's next projection — clone to keep
+// them.
+func (p *Protocol) Positions() space.Arena {
 	if p.snapOn {
-		return p.posSnap[id]
+		return p.posSnap
 	}
-	return p.nodes[id].pos
+	return p.pos
+}
+
+// Position returns the node's current virtual position (see Positions).
+// The point aliases the position arena: it is valid until the node's next
+// projection; clone it to keep it.
+func (p *Protocol) Position(id sim.NodeID) space.Point {
+	return p.Positions().At(int(id))
 }
 
 // Guests returns a copy of the node's guest points. Hot paths should use
@@ -1041,13 +1052,6 @@ func (p *Protocol) HoldersOf(pid space.PointID) []sim.NodeID {
 // high-water mark afterwards.
 func (p *Protocol) HoldersIndexFootprint() (entries, capacity, slackBound int) {
 	return p.holders.footprint()
-}
-
-// PositionFunc returns the function the topology-construction layer should
-// use to resolve node positions, closing the projection loop of Fig. 3.
-// The result is assignable to tman.PositionFunc and vicinity.PositionFunc.
-func (p *Protocol) PositionFunc() func(id sim.NodeID) space.Point {
-	return func(id sim.NodeID) space.Point { return p.Position(id) }
 }
 
 // --- holders index ---

@@ -43,7 +43,7 @@ func newStack(t testing.TB, o stackOpts) *stack {
 	var poly *Protocol
 	o.tmanCfg.Space = st.space
 	o.tmanCfg.Sampler = st.sampler
-	o.tmanCfg.Position = func(id sim.NodeID) space.Point { return poly.Position(id) }
+	o.tmanCfg.Positions = func() space.Arena { return poly.Positions() }
 	tm, err := tman.New(o.tmanCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 
 	// Per-node state.
 	w.Len(len(p.nodes))
-	for _, st := range p.nodes {
+	for i, st := range p.nodes {
 		if st == nil {
 			w.Bool(false)
 			continue
@@ -57,7 +57,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		for _, pid := range st.guestIDs {
 			w.U32(uint32(pid))
 		}
-		writePoint(w, st.pos)
+		writePoint(w, p.pos.At(i))
 		w.Bool(st.posDirty)
 		origins := make([]sim.NodeID, 0, len(st.ghosts))
 		for o := range st.ghosts {
@@ -106,11 +106,18 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	}
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. The whole section is parsed
+// and validated before anything is touched — point dimensions, every
+// PointID against the snapshot's own point table, every NodeID against
+// its node count, the table's uniqueness and the detector section — and
+// only then are the shared interner, the splitter stream, the position
+// arena and the node table replaced. A refused snapshot therefore leaves
+// the protocol, and the interner other layers share, exactly as it was.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
-	// Interner: repopulate the shared table in the snapshot's ID order,
-	// so every PointID that follows resolves against the restored table.
-	in := p.cfg.Interner
+	dim := p.cfg.Space.Dim()
+
+	// Interner table, rebuilt on a scratch interner in the snapshot's ID
+	// order so every PointID that follows resolves against it.
 	nPts := r.Len(8)
 	pts := make([]space.Point, nPts)
 	for i := range pts {
@@ -119,32 +126,43 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	in.Reset()
+	table := space.NewInterner()
 	for i, pt := range pts {
-		if id := in.Intern(pt); id != space.PointID(i) {
+		if len(pt) != dim {
+			return fmt.Errorf("core: snapshot point %d has dimension %d, space wants %d", i, len(pt), dim)
+		}
+		if id := table.Intern(pt); id != space.PointID(i) {
 			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
 		}
 	}
-
-	hasRng := r.Bool()
-	if hasRng {
-		var st [4]uint64
-		for i := range st {
-			st[i] = r.U64()
+	pid := func(what string) (space.PointID, error) {
+		id := space.PointID(r.U32())
+		if int(id) >= nPts {
+			return 0, fmt.Errorf("core: snapshot %s PointID %d out of range", what, id)
 		}
-		if p.splitter.Rng == nil {
-			// The lazy Split in InitNode has not run in this engine (e.g.
-			// a restore into a never-populated protocol); any placeholder
-			// works, SetState overwrites it entirely.
-			p.splitter.Rng = xrand.New(0)
-		}
-		p.splitter.Rng.SetState(st)
-	} else {
-		p.splitter.Rng = nil
+		return id, nil
 	}
 
+	hasRng := r.Bool()
+	var rngState [4]uint64
+	if hasRng {
+		for i := range rngState {
+			rngState[i] = r.U64()
+		}
+	}
+
+	// Per-node state. Positions decode into one flat coordinate array,
+	// copied into the arena at commit.
 	nNodes := r.Len(1)
+	node := func(what string) (sim.NodeID, error) {
+		id := r.Int()
+		if id < 0 || id >= nNodes {
+			return 0, fmt.Errorf("core: snapshot %s node %d out of range", what, id)
+		}
+		return sim.NodeID(id), nil
+	}
 	nodes := make([]*nodeState, nNodes)
+	coords := make([]float64, nNodes*dim)
 	for i := range nodes {
 		if !r.Bool() {
 			continue
@@ -154,53 +172,80 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		st.guestIDs = make([]space.PointID, ng)
 		st.guests = make([]space.Point, ng)
 		for j := 0; j < ng; j++ {
-			pid := space.PointID(r.U32())
-			if int(pid) >= in.Len() {
-				return fmt.Errorf("core: snapshot guest PointID %d out of range", pid)
+			id, err := pid("guest")
+			if err != nil {
+				return err
 			}
-			st.guestIDs[j] = pid
-			st.guests[j] = in.PointOf(pid)
+			st.guestIDs[j] = id
+			st.guests[j] = pts[id]
 		}
-		st.pos = readPoint(r)
+		if n := r.Len(8); n != dim {
+			if err := r.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("core: snapshot position of node %d has dimension %d, space wants %d", i, n, dim)
+		}
+		c := coords[i*dim : (i+1)*dim]
+		for k := range c {
+			c[k] = r.F64()
+		}
 		st.posDirty = r.Bool()
 		nGhost := r.Len(2)
 		for j := 0; j < nGhost; j++ {
-			origin := sim.NodeID(r.Int())
+			origin, err := node("ghost origin")
+			if err != nil {
+				return err
+			}
 			gn := r.Len(4)
 			gs := &ghostSet{
 				ids: make([]space.PointID, gn),
 				pts: make([]space.Point, gn),
 			}
 			for k := 0; k < gn; k++ {
-				pid := space.PointID(r.U32())
-				if int(pid) >= in.Len() {
-					return fmt.Errorf("core: snapshot ghost PointID %d out of range", pid)
+				id, err := pid("ghost")
+				if err != nil {
+					return err
 				}
-				gs.ids[k] = pid
-				gs.pts[k] = in.PointOf(pid)
+				gs.ids[k] = id
+				gs.pts[k] = pts[id]
 			}
 			st.ghosts[origin] = gs
 		}
 		nBk := r.Len(2)
 		st.backups = make([]backupRef, nBk)
 		for j := 0; j < nBk; j++ {
-			st.backups[j].node = sim.NodeID(r.Int())
+			b, err := node("backup")
+			if err != nil {
+				return err
+			}
+			st.backups[j].node = b
 			np := r.Len(4)
 			st.backups[j].pushed = make([]space.PointID, np)
 			for k := 0; k < np; k++ {
-				st.backups[j].pushed[k] = space.PointID(r.U32())
+				id, err := pid("pushed")
+				if err != nil {
+					return err
+				}
+				st.backups[j].pushed[k] = id
 			}
 		}
 		nodes[i] = st
 	}
 
 	nLists := r.Len(1)
+	if nLists > nPts {
+		return fmt.Errorf("core: snapshot holders index has %d lists for %d points", nLists, nPts)
+	}
 	lists := make([][]sim.NodeID, nLists)
 	for i := range lists {
 		ln := r.Len(8)
 		l := make([]sim.NodeID, ln)
 		for j := range l {
-			l[j] = sim.NodeID(r.Int())
+			n, err := node("holder")
+			if err != nil {
+				return err
+			}
+			l[j] = n
 		}
 		lists[i] = l
 	}
@@ -209,9 +254,14 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 
 	hasDet := r.Bool()
 	ds, statefulDet := p.cfg.Detector.(sim.Snapshotter)
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if hasDet != statefulDet {
 		return fmt.Errorf("core: snapshot detector state presence mismatch (snapshot %v, config %T)", hasDet, p.cfg.Detector)
 	}
+	// The detector restores last: it validates its own section before
+	// changing anything, and nothing of this layer has changed yet.
 	if hasDet {
 		sub := r.Section()
 		if err := r.Err(); err != nil {
@@ -224,10 +274,20 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			return err
 		}
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
 
+	p.cfg.Interner.ReplaceWith(table)
+	if hasRng {
+		if p.splitter.Rng == nil {
+			// The lazy Split in InitNode has not run in this engine (e.g.
+			// a restore into a never-populated protocol); any placeholder
+			// works, SetState overwrites it entirely.
+			p.splitter.Rng = xrand.New(0)
+		}
+		p.splitter.Rng.SetState(rngState)
+	} else {
+		p.splitter.Rng = nil
+	}
+	p.pos.ReplaceTail(0, coords)
 	p.nodes = nodes
 	p.holders.lists = lists
 	p.holders.steps = steps

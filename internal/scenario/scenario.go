@@ -118,9 +118,11 @@ type Scenario struct {
 	topo    topology
 	poly    *core.Protocol // nil when running the plain baseline
 
-	// fixedPos holds positions of reinjected nodes in the plain T-Man
-	// configuration (indexed by NodeID; nil entries fall back to Points).
-	fixedPos map[sim.NodeID]space.Point
+	// fixed is the plain T-Man configuration's position arena: slot id
+	// is node id's original point, or its reinjection spot for nodes
+	// reinjected later. Unused under Polystyrene, whose layer owns the
+	// positions.
+	fixed space.Arena
 
 	// sys is the persistent metrics view (polySystem or tmanSystem); its
 	// live-ID buffer is reused across rounds.
@@ -150,19 +152,24 @@ func New(cfg Config) (*Scenario, error) {
 		Points:   shape.Grid(cfg.W, cfg.H, cfg.Step),
 		Interner: space.NewInterner(),
 		sampler:  rps.New(rps.Config{}),
-		fixedPos: make(map[sim.NodeID]space.Point),
 		result:   &Result{},
 	}
 	// Generated shapes register into the interner once at setup
 	// (intern-before-use); the IDs feed the indexed metrics.
 	sc.PointIDs = shape.Intern(sc.Interner, sc.Points)
+	if !cfg.Polystyrene {
+		sc.fixed = space.NewArena(sc.Space.Dim())
+		for i, p := range sc.Points {
+			sc.fixed.Set(i, p)
+		}
+	}
 
 	switch cfg.Overlay {
 	case "", "tman":
 		tmCfg := cfg.TMan
 		tmCfg.Space = sc.Space
 		tmCfg.Sampler = sc.sampler
-		tmCfg.Position = sc.position
+		tmCfg.Positions = sc.positions
 		tm, err := tman.New(tmCfg)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
@@ -170,9 +177,9 @@ func New(cfg Config) (*Scenario, error) {
 		sc.topo = tm
 	case "vicinity":
 		vic, err := vicinity.New(vicinity.Config{
-			Space:    sc.Space,
-			Sampler:  sc.sampler,
-			Position: sc.position,
+			Space:     sc.Space,
+			Sampler:   sc.sampler,
+			Positions: sc.positions,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
@@ -254,16 +261,20 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 	return sc.Space.Wrap(space.Point{base[0] + half, base[1] + half})
 }
 
-// position is the PositionFunc fed to T-Man: the Polystyrene projection
-// when enabled, otherwise the node's fixed original (or reinjection) spot.
-func (sc *Scenario) position(id sim.NodeID) space.Point {
+// positions is the arena handle fed to the overlay: the Polystyrene
+// projections when enabled, otherwise the fixed arena of original and
+// reinjection spots.
+func (sc *Scenario) positions() space.Arena {
 	if sc.poly != nil {
-		return sc.poly.Position(id)
+		return sc.poly.Positions()
 	}
-	if p, ok := sc.fixedPos[id]; ok {
-		return p
-	}
-	return sc.Points[id]
+	return sc.fixed
+}
+
+// position returns node id's current position, a view into the arena
+// (valid until the node's next projection).
+func (sc *Scenario) position(id sim.NodeID) space.Point {
+	return sc.positions().At(int(id))
 }
 
 // Run executes n rounds.
@@ -350,7 +361,7 @@ func (sc *Scenario) Reinject(n int) []sim.NodeID {
 	ids := sc.Engine.AddNodes(n)
 	if sc.poly == nil {
 		for _, id := range ids {
-			sc.fixedPos[id] = sc.reinjectionPosition(id)
+			sc.fixed.Set(int(id), sc.reinjectionPosition(id))
 		}
 	}
 	return ids

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"polystyrene/internal/fd"
-	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
-	"polystyrene/internal/space"
 )
 
 // SnapshotKind is the snap envelope kind of scenario checkpoints; pass
@@ -118,20 +115,7 @@ func (sc *Scenario) SnapshotTo(w io.Writer) error {
 	var sw snap.Writer
 	digestOf(sc.Cfg).write(&sw)
 
-	ids := make([]sim.NodeID, 0, len(sc.fixedPos))
-	for id := range sc.fixedPos {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sw.Len(len(ids))
-	for _, id := range ids {
-		sw.Int(int(id))
-		p := sc.fixedPos[id]
-		sw.Len(len(p))
-		for _, c := range p {
-			sw.F64(c)
-		}
-	}
+	snap.WriteArenaTail(&sw, sc.fixed, len(sc.Points))
 
 	writeFloats(&sw, sc.result.Homogeneity)
 	writeFloats(&sw, sc.result.Proximity)
@@ -162,17 +146,9 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 	r := snap.NewReader(body)
 	got := readDigest(r)
 
-	nFixed := r.Len(16)
-	fixedIDs := make([]sim.NodeID, nFixed)
-	fixedPts := make([]space.Point, nFixed)
-	for i := 0; i < nFixed; i++ {
-		fixedIDs[i] = sim.NodeID(r.Int())
-		n := r.Len(8)
-		p := make(space.Point, n)
-		for j := range p {
-			p[j] = r.F64()
-		}
-		fixedPts[i] = p
+	fixed, err := snap.ReadArenaTail(r, sc.Space.Dim(), len(sc.Points))
+	if err != nil {
+		return err
 	}
 
 	homog := readFloats(r)
@@ -201,9 +177,10 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 		return fmt.Errorf("scenario: %d trailing bytes in snapshot", r.Remaining())
 	}
 
-	clear(sc.fixedPos)
-	for i, id := range fixedIDs {
-		sc.fixedPos[id] = fixedPts[i]
+	if sc.poly == nil {
+		// Only the baseline pins reinjected nodes to fixed spots, so only
+		// its snapshots carry any.
+		sc.fixed.ReplaceTail(len(sc.Points), fixed)
 	}
 	sc.result.Homogeneity = homog
 	sc.result.Proximity = prox

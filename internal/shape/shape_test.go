@@ -155,11 +155,9 @@ func TestCrossShapeSurvivesCatastrophe(t *testing.T) {
 	sampler := rps.New(rps.Config{})
 	var poly *core.Protocol
 	tm := tman.MustNew(tman.Config{
-		Space:   tor,
-		Sampler: sampler,
-		Position: func(id sim.NodeID) space.Point {
-			return poly.Position(id)
-		},
+		Space:     tor,
+		Sampler:   sampler,
+		Positions: func() space.Arena { return poly.Positions() },
 	})
 	poly = core.MustNew(core.Config{
 		Space:    tor,

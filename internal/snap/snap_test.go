@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"polystyrene/internal/space"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -255,4 +258,27 @@ func appendChecksum(b []byte) []byte {
 	w.buf = append(w.buf, b...)
 	w.U64(h.Sum64())
 	return w.buf
+}
+
+// TestArenaTailRoundTrip checks that the tail of a position arena — the
+// pinned positions of late joiners — round-trips, and that a record out
+// of sequence or of the wrong dimension is refused.
+func TestArenaTailRoundTrip(t *testing.T) {
+	a := space.NewArena(2)
+	for i := 0; i < 5; i++ {
+		a.Set(i, space.Point{float64(i), -float64(i)})
+	}
+	var w Writer
+	WriteArenaTail(&w, a, 3)
+	got, err := ReadArenaTail(NewReader(w.Bytes()), 2, 3)
+	if err != nil || !slices.Equal(got, []float64{3, -3, 4, -4}) {
+		t.Fatalf("tail round trip = %v, %v", got, err)
+	}
+
+	if _, err := ReadArenaTail(NewReader(w.Bytes()), 2, 2); err == nil {
+		t.Fatal("tail starting at slot 3 accepted where slot 2 was due")
+	}
+	if _, err := ReadArenaTail(NewReader(w.Bytes()), 3, 3); err == nil {
+		t.Fatal("tail of 2-D records accepted as 3-D")
+	}
 }

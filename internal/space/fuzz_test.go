@@ -147,3 +147,68 @@ func FuzzTorusGridCellInverse(f *testing.F) {
 		}
 	})
 }
+
+// branchDistance is the torus distance with one branch per decision, as
+// Torus.Distance was first written; its branch-free wrapDelta must agree
+// with it bit for bit on finite coordinates.
+func branchDistance(widths []float64, a, b Point) float64 {
+	sum := 0.0
+	for i, w := range widths {
+		d := a[i] - b[i]
+		if d < 0 {
+			d = -d
+		}
+		if d >= w {
+			d = math.Mod(d, w)
+		}
+		if d > w/2 {
+			d = w - d
+		}
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}
+
+// FuzzTorusFlatDistance pins the arena ranking kernel to Torus.Distance,
+// and Torus.Distance to branchDistance, bit for bit, in 1, 2 and 3
+// dimensions: the overlay layers rank candidates with Distances, and any
+// rounding difference would change which neighbours they keep. Each case
+// ranks, against one target, a raw point (deltas of either sign, beyond
+// the width), the target shifted by exactly half a width in every
+// dimension, and the target itself.
+func FuzzTorusFlatDistance(f *testing.F) {
+	f.Add(uint8(2), 80.0, 40.0, 7.0, 1.0, 2.0, 3.0, 70.0, 30.0, 5.0)
+	f.Add(uint8(1), 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5)
+	f.Add(uint8(3), 320.0, 160.0, 3.0, -5.0, 900.0, -0.5, 319.9, 0.1, 2.9)
+	f.Add(uint8(2), 0.3, 1e6, 2.0, 1e9, -1e9, 4.0, -0.15, 5e5, 1.0)
+	f.Add(uint8(2), 80.0, 40.0, 7.0, 80.0, -40.0, 7.0, 0.0, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, dimSel uint8, w0, w1, w2, ax, ay, az, bx, by, bz float64) {
+		dim := int(dimSel%3) + 1
+		widths := []float64{sanitizeWidth(w0), sanitizeWidth(w1), sanitizeWidth(w2)}[:dim]
+		tor := NewTorus(widths...)
+		a := Point{sanitizeCoord(ax), sanitizeCoord(ay), sanitizeCoord(az)}[:dim]
+		target := Point{sanitizeCoord(bx), sanitizeCoord(by), sanitizeCoord(bz)}[:dim]
+		half := target.Clone()
+		for i, w := range widths {
+			half[i] += w / 2
+		}
+
+		arena := NewArena(dim)
+		arena.Set(0, a)
+		arena.Set(1, half)
+		arena.Set(2, target)
+		slots := []int{2, 0, 1, 0}
+		dist := make([]float64, len(slots))
+		Distances(tor, arena, target, slots, dist)
+		for i, c := range slots {
+			want := tor.Distance(arena.At(c), target)
+			if ref := branchDistance(widths, arena.At(c), target); math.Float64bits(want) != math.Float64bits(ref) {
+				t.Fatalf("dim %d slot %d (%v to %v): Torus.Distance %v, branch form %v", dim, c, arena.At(c), target, want, ref)
+			}
+			if math.Float64bits(dist[i]) != math.Float64bits(want) {
+				t.Fatalf("dim %d slot %d (%v to %v): flat %v (%#x), Torus.Distance %v (%#x)",
+					dim, c, arena.At(c), target, dist[i], math.Float64bits(dist[i]), want, math.Float64bits(want))
+			}
+		}
+	})
+}

@@ -81,11 +81,13 @@ func (in *Interner) PointOf(id PointID) Point {
 // exactly [0, Len()).
 func (in *Interner) Len() int { return len(in.pts) }
 
-// Reset empties the interner so a snapshot restore can repopulate it.
-// Re-interning the serialized points in their original ID order yields
-// the identical table, which is what keeps every PointID stored elsewhere
-// in a snapshot valid after the round trip.
-func (in *Interner) Reset() {
-	clear(in.byKey)
-	in.pts = in.pts[:0]
+// ReplaceWith makes src's table in's, in place — every holder of in sees
+// the new table — and leaves src empty. A snapshot restore rebuilds the
+// table on a scratch interner (re-interning the serialized points in
+// their original ID order yields the identical table, which keeps every
+// PointID stored elsewhere in the snapshot valid), validates it, and only
+// then swaps it into the shared one.
+func (in *Interner) ReplaceWith(src *Interner) {
+	in.byKey, in.pts = src.byKey, src.pts
+	src.byKey, src.pts = make(map[string]PointID), nil
 }

@@ -215,24 +215,23 @@ func (t Torus) Distance(a, b Point) float64 {
 }
 
 // wrapDelta returns the magnitude of the shorter arc for a signed
-// difference on a circle of circumference w.
+// difference d on a circle of circumference w.
 //
 // Coordinates in this system are canonical (in [0, w)) in the overwhelming
 // majority of calls, so |d| < w and the math.Mod reduction — the single
 // most expensive operation of the whole distance hot path — can be skipped.
 // Both branches compute identical values: for |d| < w, math.Mod(d, w)
-// returns d exactly.
+// returns d exactly. The rest is branch-free, because the sign of d and
+// the side of the half-circumference it falls on are coin flips across a
+// ranking loop: min(d, w-d) is exactly "w-d if d > w/2, else d" (w/2 is
+// exact and rounding is monotonic), and math.Abs differs from negating a
+// negative d only on -0, which squares to the same +0.
 func wrapDelta(d, w float64) float64 {
-	if d < 0 {
-		d = -d
-	}
+	d = math.Abs(d)
 	if d >= w {
 		d = math.Mod(d, w)
 	}
-	if d > w/2 {
-		d = w - d
-	}
-	return d
+	return min(d, w-d)
 }
 
 // Wrap returns the canonical representative of p with every coordinate in

@@ -13,12 +13,12 @@ import (
 func benchNet(b *testing.B, w, h int) (*sim.Engine, *Protocol) {
 	b.Helper()
 	s := space.TorusForGrid(w, h, 1)
-	pts := space.TorusGrid(w, h, 1)
+	arena := arenaOf(space.TorusGrid(w, h, 1))
 	sampler := rps.New(rps.Config{})
 	tm, err := New(Config{
-		Space:    s,
-		Sampler:  sampler,
-		Position: func(id sim.NodeID) space.Point { return pts[id] },
+		Space:     s,
+		Sampler:   sampler,
+		Positions: func() space.Arena { return arena },
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -19,10 +19,11 @@ func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 		return nil
 	}
 	view := slices.Clone(p.views[id])
-	pos := p.pos(id)
+	arena := p.cfg.Positions()
+	pos := arena.At(int(id))
 	sort.SliceStable(view, func(i, j int) bool {
-		di := p.cfg.Space.Distance(p.pos(view[i]), pos)
-		dj := p.cfg.Space.Distance(p.pos(view[j]), pos)
+		di := p.cfg.Space.Distance(arena.At(int(view[i])), pos)
+		dj := p.cfg.Space.Distance(arena.At(int(view[j])), pos)
 		if di != dj {
 			return di < dj
 		}
@@ -112,7 +113,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 		// Reinject fresh nodes on the offset parallel grid.
 		for i := 0; i < w*h/4; i++ {
 			base := pts[(2*i)%len(pts)]
-			n.positions = append(n.positions, tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5}))
+			n.place(n.engine.NumNodes(), tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5}))
 			n.engine.AddNode()
 		}
 		n.engine.RunRounds(5)

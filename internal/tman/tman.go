@@ -10,10 +10,11 @@
 // to guarantee convergence from any starting state (paper Sec. II-B).
 //
 // A key property required by Polystyrene (Sec. II-C) is that T-Man does
-// not own node positions: it reads them through a PositionFunc. With plain
-// T-Man the function returns the node's fixed original data point; with
-// Polystyrene on top it returns the medoid of the node's guests, which
-// changes as data points migrate — this is how nodes "move" on the shape.
+// not own node positions: it reads them from a position arena
+// (space.Arena, slot = NodeID) through the Config.Positions handle. With
+// plain T-Man the arena holds the nodes' fixed original data points; with
+// Polystyrene on top it holds the medoids of the nodes' guests, which
+// change as data points migrate — this is how nodes "move" on the shape.
 //
 // Message-cost accounting follows the paper (Sec. IV-A): a descriptor
 // (ID + position) costs 1 + dim units. Because positions are dynamic,
@@ -22,16 +23,18 @@
 // most of the traffic", Sec. IV-B), at dim units per entry.
 //
 // Ranking view entries by distance is the hottest code path of the whole
-// simulator, so selections go through topk.SmallestK (partial selection,
-// no comparator closures) over scratch buffers pooled per worker slot,
-// and set-membership during merges uses a generation-stamped array
-// indexed by the engine's dense NodeIDs. The sequential engine only ever
-// uses slot 0; under intra-round exchange batching (sim.Batched) each
-// worker owns a slot and the batch matcher plans on a dedicated mirror
-// scratch. An exchange's conflict set is {initiator, partner}: Step reads
-// and writes only those two views (it reads the *positions* of ranked
-// candidates too, but positions are frozen during a T-Man pass, and the
-// Polystyrene layer above snapshots them for its own pass).
+// simulator, so distances come straight from the arena's coordinates
+// (space.Distances, one handle call per selection), selections go through
+// topk.SmallestK (partial selection, no comparator closures) over scratch
+// buffers pooled per worker slot, and set-membership during merges uses a
+// generation-stamped array indexed by the engine's dense NodeIDs. The
+// sequential engine only ever uses slot 0; under intra-round exchange
+// batching (sim.Batched) each worker owns a slot and the batch matcher
+// plans on a dedicated mirror scratch. An exchange's conflict set is
+// {initiator, partner}: Step reads and writes only those two views (it
+// reads the *positions* of ranked candidates too, but positions are frozen
+// during a T-Man pass, and the Polystyrene layer above copies its arena
+// for its own pass).
 //
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
@@ -67,19 +70,18 @@ const (
 	DefaultInitDegree = 10
 )
 
-// PositionFunc reports the current virtual position of a node. It must
-// return a valid point for every live node.
-type PositionFunc func(id sim.NodeID) space.Point
-
-// Config parameterises the protocol. Space, Sampler and Position are
+// Config parameterises the protocol. Space, Sampler and Positions are
 // required; zero-valued numeric fields take the paper's defaults.
 type Config struct {
 	// Space is the metric space positions live in.
 	Space space.Space
 	// Sampler is the underlying peer-sampling layer.
 	Sampler *rps.Protocol
-	// Position resolves a node's current virtual position.
-	Position PositionFunc
+	// Positions returns the position arena to rank by: slot id holds node
+	// id's current virtual position, for every node the engine has. It is
+	// called once per selection, never while positions change, and the
+	// points read from it are valid until the node's next projection.
+	Positions func() space.Arena
 	// ViewCap bounds the view size.
 	ViewCap int
 	// MsgSize is the number of descriptors per exchanged message (m).
@@ -97,8 +99,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Sampler == nil {
 		return c, fmt.Errorf("tman: Config.Sampler is required")
 	}
-	if c.Position == nil {
-		return c, fmt.Errorf("tman: Config.Position is required")
+	if c.Positions == nil {
+		return c, fmt.Errorf("tman: Config.Positions is required")
 	}
 	if c.ViewCap <= 0 {
 		c.ViewCap = DefaultViewCap
@@ -234,16 +236,14 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	// Each side sends the m descriptors most useful to the other, drawn
 	// from its view plus its own fresh descriptor. Both buffers are pooled
 	// on the worker slot: merge copies what it keeps into the views.
-	scr.msgA = p.buildBuffer(scr, scr.msgA[:0], id, p.pos(q))
-	scr.msgB = p.buildBuffer(scr, scr.msgB[:0], q, p.pos(id))
+	scr.msgA = p.buildBuffer(scr, scr.msgA[:0], id, q)
+	scr.msgB = p.buildBuffer(scr, scr.msgB[:0], q, id)
 	descCost := sim.DescriptorCost(p.cfg.Space.Dim())
 	ctx.Charge((len(scr.msgA) + len(scr.msgB)) * descCost)
 
 	p.merge(e, scr, id, scr.msgB)
 	p.merge(e, scr, q, scr.msgA)
 }
-
-func (p *Protocol) pos(id sim.NodeID) space.Point { return p.cfg.Position(id) }
 
 // selectPartner draws the exchange partner uniformly from the ψ closest
 // live view entries, augmented with one random peer from the sampling
@@ -255,7 +255,7 @@ func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) 
 	if ctx.Batched() {
 		candidates = p.psiCache.Append(scr.candBuf[:0], id)
 	} else {
-		candidates = append(scr.candBuf[:0], p.selectClosest(scr, p.views[id], p.pos(id), p.cfg.Psi)...)
+		candidates = append(scr.candBuf[:0], p.selectClosest(scr, p.views[id], id, p.cfg.Psi)...)
 	}
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		dup := false
@@ -277,29 +277,35 @@ func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) 
 }
 
 // buildBuffer appends to dst up to m descriptors from owner's view plus
-// owner itself, ranked by proximity to the receiver's position target.
-func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner sim.NodeID, target space.Point) []sim.NodeID {
+// owner itself, ranked by proximity to the receiver's position.
+func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner, receiver sim.NodeID) []sim.NodeID {
 	view := p.views[owner]
 	cand := append(scr.candBuf[:0], owner)
 	cand = append(cand, view...)
 	scr.candBuf = cand
-	return append(dst, p.selectClosest(scr, cand, target, p.cfg.MsgSize)...)
+	return append(dst, p.selectClosest(scr, cand, receiver, p.cfg.MsgSize)...)
 }
 
 // selectClosest partially selects the up-to-k IDs of cand whose positions
-// are closest to target, ordered by increasing distance (ties toward the
-// lower ID). Distances are evaluated once per candidate; selection is a
-// topk pass over the slot's pooled scratch and the result aliases that
-// scratch: it is only valid until the slot's next selection and must not
-// be retained. Nothing is allocated.
-func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
+// are closest to node to's position, ordered by increasing distance (ties
+// toward the lower ID). Distances are evaluated once per candidate,
+// straight from the position arena; selection is a topk pass over the
+// slot's pooled scratch and the result aliases that scratch: it is only
+// valid until the slot's next selection and must not be retained.
+// Nothing is allocated.
+func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, to sim.NodeID, k int) []sim.NodeID {
 	p.noteScratch(scr, len(cand))
-	s := p.cfg.Space
-	dist, ids := scr.sel.Get(len(cand))
-	for i, c := range cand {
-		dist[i] = s.Distance(p.pos(c), target)
-		ids[i] = c
-	}
+	return p.rank(&scr.sel, cand, to, k)
+}
+
+// rank is the selection both selectClosest and the matcher's mirror run:
+// it copies cand into sel, computes every candidate's distance to node
+// to from the arena and keeps the k closest.
+func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, to sim.NodeID, k int) []sim.NodeID {
+	dist, ids := sel.Get(len(cand))
+	copy(ids, cand)
+	pos := p.cfg.Positions()
+	space.Distances(p.cfg.Space, pos, pos.At(int(to)), ids, dist)
 	k = topk.SmallestK(dist, ids, k)
 	return ids[:k]
 }
@@ -322,7 +328,7 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 		}
 	}
 	if len(view) > p.cfg.ViewCap {
-		sel := p.selectClosest(scr, view, p.pos(owner), p.cfg.ViewCap)
+		sel := p.selectClosest(scr, view, owner, p.cfg.ViewCap)
 		view = view[:copy(view, sel)]
 	}
 	p.views[owner] = view
@@ -431,7 +437,7 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 
 	// Mirror selectPartner over the (possibly re-seeded) view, handing
 	// the ranked window to StepW through the per-node cache.
-	candidates := append(p.plan.part[:0], p.planSelectClosest(view, p.pos(id), p.cfg.Psi)...)
+	candidates := append(p.plan.part[:0], p.planSelectClosest(view, id, p.cfg.Psi)...)
 	p.psiCache.Put(id, candidates)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
 		dup := false
@@ -454,15 +460,8 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 
 // planSelectClosest is selectClosest over the matcher's mirror scratch
 // (no high-water accounting: planning must not perturb worker trims).
-func (p *Protocol) planSelectClosest(cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
-	s := p.cfg.Space
-	dist, ids := p.plan.sel.Get(len(cand))
-	for i, c := range cand {
-		dist[i] = s.Distance(p.pos(c), target)
-		ids[i] = c
-	}
-	k = topk.SmallestK(dist, ids, k)
-	return ids[:k]
+func (p *Protocol) planSelectClosest(cand []sim.NodeID, to sim.NodeID, k int) []sim.NodeID {
+	return p.rank(&p.plan.sel, cand, to, k)
 }
 
 // FlushBatch implements sim.Batched (the exchange defers nothing).
@@ -492,7 +491,7 @@ func (p *Protocol) AppendNeighborsW(w int, dst []sim.NodeID, id sim.NodeID, k in
 		return dst
 	}
 	scr := p.ws[w]
-	return append(dst, p.selectClosest(scr, p.views[id], p.pos(id), k)...)
+	return append(dst, p.selectClosest(scr, p.views[id], id, k)...)
 }
 
 // AppendNeighborsPlan implements core.WorkerTopology: AppendNeighbors over
@@ -502,7 +501,7 @@ func (p *Protocol) AppendNeighborsPlan(dst []sim.NodeID, id sim.NodeID, k int) [
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return dst
 	}
-	return append(dst, p.planSelectClosest(p.views[id], p.pos(id), k)...)
+	return append(dst, p.planSelectClosest(p.views[id], id, k)...)
 }
 
 // EachNeighbor implements core.Topology: it calls yield for each of the k
@@ -513,7 +512,7 @@ func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) boo
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return
 	}
-	for _, nb := range p.selectClosest(p.ws[0], p.views[id], p.pos(id), k) {
+	for _, nb := range p.selectClosest(p.ws[0], p.views[id], id, k) {
 		if !yield(nb) {
 			return
 		}
@@ -528,7 +527,7 @@ func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
 	}
-	sel := p.selectClosest(p.ws[0], p.views[id], p.pos(id), k)
+	sel := p.selectClosest(p.ws[0], p.views[id], id, k)
 	out := make([]sim.NodeID, len(sel))
 	copy(out, sel)
 	return out

@@ -10,19 +10,19 @@ import (
 
 // testNet assembles RPS + T-Man over a fixed set of positions.
 type testNet struct {
-	engine    *sim.Engine
-	sampler   *rps.Protocol
-	tman      *Protocol
-	positions []space.Point
-	space     space.Space
+	engine  *sim.Engine
+	sampler *rps.Protocol
+	tman    *Protocol
+	arena   space.Arena
+	space   space.Space
 }
 
 func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point, cfg Config) *testNet {
 	t.Helper()
-	n := &testNet{sampler: rps.New(rps.Config{}), positions: pts, space: s}
+	n := &testNet{sampler: rps.New(rps.Config{}), arena: arenaOf(pts), space: s}
 	cfg.Space = s
 	cfg.Sampler = n.sampler
-	cfg.Position = func(id sim.NodeID) space.Point { return n.positions[id] }
+	cfg.Positions = func() space.Arena { return n.arena }
 	tm, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,13 +33,28 @@ func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point, cfg
 	return n
 }
 
+// place pins node id at p, growing the arena for a node about to join.
+func (n *testNet) place(id int, p space.Point) { n.arena.Set(id, p) }
+
+// pos returns node id's position.
+func (n *testNet) pos(id sim.NodeID) space.Point { return n.arena.At(int(id)) }
+
+// arenaOf returns a position arena holding pts in slot order.
+func arenaOf(pts []space.Point) space.Arena {
+	a := space.NewArena(len(pts[0]))
+	for i, p := range pts {
+		a.Set(i, p)
+	}
+	return a
+}
+
 // proximity returns the mean distance from each live node to its k
 // closest T-Man neighbours.
 func (n *testNet) proximity(k int) float64 {
 	total, count := 0.0, 0
 	for _, id := range n.engine.LiveIDs() {
 		for _, nb := range n.tman.Neighbors(id, k) {
-			total += n.space.Distance(n.positions[id], n.positions[nb])
+			total += n.space.Distance(n.pos(id), n.pos(nb))
 			count++
 		}
 	}
@@ -66,9 +81,9 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	cfg, err := Config{
-		Space:    space.NewEuclidean(2),
-		Sampler:  rps.New(rps.Config{}),
-		Position: func(sim.NodeID) space.Point { return space.Point{0, 0} },
+		Space:     space.NewEuclidean(2),
+		Sampler:   rps.New(rps.Config{}),
+		Positions: func() space.Arena { return space.NewArena(2) },
 	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -223,14 +238,14 @@ func TestDynamicPositionsAreHonoured(t *testing.T) {
 	net.engine.RunRounds(15)
 	// Teleport node 0 to the far corner of the torus.
 	target := space.Point{12, 4}
-	net.positions[0] = target
+	net.place(0, target)
 	net.engine.RunRounds(15)
 	nbs := net.tman.Neighbors(0, 4)
 	if len(nbs) == 0 {
 		t.Fatal("node 0 has no neighbours after moving")
 	}
 	for _, nb := range nbs {
-		if d := s.Distance(target, net.positions[nb]); d > 2.5 {
+		if d := s.Distance(target, net.pos(nb)); d > 2.5 {
 			t.Fatalf("neighbour %d at distance %v from new position; view did not follow the move", nb, d)
 		}
 	}

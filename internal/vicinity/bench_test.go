@@ -12,12 +12,12 @@ import (
 // oldest-first exchange, full-view swaps and closest-k truncation.
 func BenchmarkGossipRound(b *testing.B) {
 	s := space.TorusForGrid(40, 20, 1)
-	pts := space.TorusGrid(40, 20, 1)
+	arena := arenaOf(space.TorusGrid(40, 20, 1))
 	sampler := rps.New(rps.Config{})
 	vic, err := New(Config{
-		Space:    s,
-		Sampler:  sampler,
-		Position: func(id sim.NodeID) space.Point { return pts[id] },
+		Space:     s,
+		Sampler:   sampler,
+		Positions: func() space.Arena { return arena },
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -18,10 +18,11 @@ func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 		return nil
 	}
 	view := slices.Clone(p.views[id])
-	pos := p.cfg.Position(id)
+	arena := p.cfg.Positions()
+	pos := arena.At(int(id))
 	sort.SliceStable(view, func(i, j int) bool {
-		return p.cfg.Space.Distance(p.cfg.Position(view[i].id), pos) <
-			p.cfg.Space.Distance(p.cfg.Position(view[j].id), pos)
+		return p.cfg.Space.Distance(arena.At(int(view[i].id)), pos) <
+			p.cfg.Space.Distance(arena.At(int(view[j].id)), pos)
 	})
 	if k > len(view) {
 		k = len(view)
@@ -110,7 +111,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 
 		for i := 0; i < w*h/4; i++ {
 			base := pts[(2*i)%len(pts)]
-			n.positions = append(n.positions, tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5}))
+			n.place(n.engine.NumNodes(), tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5}))
 			n.engine.AddNode()
 		}
 		n.engine.RunRounds(5)

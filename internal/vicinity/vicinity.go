@@ -14,10 +14,11 @@
 //   - the view is a small fixed-size set of the closest known peers, and
 //     fresh randomness flows in from the peer-sampling layer every round.
 //
-// Like T-Man here, node positions are resolved through a PositionFunc so
-// Polystyrene's projection can move nodes around the shape. The package
-// satisfies core.Topology and charges the engine's meter with the same
-// unit cost model (descriptor = ID + position).
+// Like T-Man here, node positions are read from a position arena through
+// the Config.Positions handle, so Polystyrene's projection can move nodes
+// around the shape. The package satisfies core.Topology and charges the
+// engine's meter with the same unit cost model (descriptor = ID +
+// position).
 //
 // An exchange's conflict set is {initiator, oldest view entry}: Step
 // reads and writes only those two views, which is what lets the engine's
@@ -50,18 +51,18 @@ const (
 	DefaultRandomMix = 2
 )
 
-// PositionFunc resolves a node's current virtual position.
-type PositionFunc func(id sim.NodeID) space.Point
-
-// Config parameterises the protocol. Space, Sampler and Position are
+// Config parameterises the protocol. Space, Sampler and Positions are
 // required.
 type Config struct {
 	// Space is the metric space positions live in.
 	Space space.Space
 	// Sampler is the peer-sampling layer below.
 	Sampler *rps.Protocol
-	// Position resolves current node positions.
-	Position PositionFunc
+	// Positions returns the position arena to rank by: slot id holds node
+	// id's current virtual position, for every node the engine has. It is
+	// called once per selection, never while positions change, and the
+	// points read from it are valid until the node's next projection.
+	Positions func() space.Arena
 	// ViewSize bounds the view.
 	ViewSize int
 	// MsgSize caps descriptors per message.
@@ -77,8 +78,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Sampler == nil {
 		return c, fmt.Errorf("vicinity: Config.Sampler is required")
 	}
-	if c.Position == nil {
-		return c, fmt.Errorf("vicinity: Config.Position is required")
+	if c.Positions == nil {
+		return c, fmt.Errorf("vicinity: Config.Positions is required")
 	}
 	if c.ViewSize <= 0 {
 		c.ViewSize = DefaultViewSize
@@ -101,8 +102,10 @@ type entry struct {
 // scratch is one worker slot's pooled exchange state.
 type scratch struct {
 	// sel holds the pooled parallel (distance, view index) selection
-	// arrays.
+	// arrays; ids stages the ranked entries' NodeIDs for the arena
+	// kernel.
 	sel topk.Scratch[int]
+	ids []sim.NodeID
 	// bufA/bufB are the two in-flight message buffers; both live across a
 	// merge pair, so they need separate backing arrays.
 	bufA []sim.NodeID
@@ -125,6 +128,7 @@ type Protocol struct {
 	ws   []*scratch
 	plan struct {
 		sel   topk.Scratch[int]
+		ids   []sim.NodeID
 		view  []entry
 		peers []sim.NodeID
 	}
@@ -278,12 +282,23 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 // scratch: it is only valid until the slot's next selection and must not
 // be retained.
 func (p *Protocol) selectView(scr *scratch, view []entry, id sim.NodeID, k int) []int {
-	ownerPos := p.cfg.Position(id)
-	dist, idx := scr.sel.Get(len(view))
+	return p.rank(&scr.sel, &scr.ids, view, id, k)
+}
+
+// rank is the selection both selectView and the matcher's mirror run:
+// it stages the entries' NodeIDs in *ids, computes their distances to
+// id's position straight from the position arena, and keeps the k
+// closest view indices.
+func (p *Protocol) rank(sel *topk.Scratch[int], ids *[]sim.NodeID, view []entry, id sim.NodeID, k int) []int {
+	dist, idx := sel.Get(len(view))
+	slots := (*ids)[:0]
 	for i, en := range view {
-		dist[i] = p.cfg.Space.Distance(p.cfg.Position(en.id), ownerPos)
+		slots = append(slots, en.id)
 		idx[i] = i
 	}
+	*ids = slots
+	pos := p.cfg.Positions()
+	space.Distances(p.cfg.Space, pos, pos.At(int(id)), slots, dist)
 	k = topk.SmallestK(dist, idx, k)
 	return idx[:k]
 }
@@ -381,14 +396,7 @@ func (p *Protocol) EndBatchedRound(e *sim.Engine) {}
 
 // planSelectView is selectView over the matcher's mirror scratch.
 func (p *Protocol) planSelectView(view []entry, id sim.NodeID, k int) []int {
-	ownerPos := p.cfg.Position(id)
-	dist, idx := p.plan.sel.Get(len(view))
-	for i, en := range view {
-		dist[i] = p.cfg.Space.Distance(p.cfg.Position(en.id), ownerPos)
-		idx[i] = i
-	}
-	k = topk.SmallestK(dist, idx, k)
-	return idx[:k]
+	return p.rank(&p.plan.sel, &p.plan.ids, view, id, k)
 }
 
 // --- core.Topology ---

@@ -9,19 +9,19 @@ import (
 )
 
 type testNet struct {
-	engine    *sim.Engine
-	vic       *Protocol
-	positions []space.Point
-	space     space.Space
+	engine *sim.Engine
+	vic    *Protocol
+	arena  space.Arena
+	space  space.Space
 }
 
 func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point, cfg Config) *testNet {
 	t.Helper()
-	n := &testNet{positions: pts, space: s}
+	n := &testNet{arena: arenaOf(pts), space: s}
 	sampler := rps.New(rps.Config{})
 	cfg.Space = s
 	cfg.Sampler = sampler
-	cfg.Position = func(id sim.NodeID) space.Point { return n.positions[id] }
+	cfg.Positions = func() space.Arena { return n.arena }
 	vic, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,11 +32,26 @@ func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point, cfg
 	return n
 }
 
+// place pins node id at p, growing the arena for a node about to join.
+func (n *testNet) place(id int, p space.Point) { n.arena.Set(id, p) }
+
+// pos returns node id's position.
+func (n *testNet) pos(id sim.NodeID) space.Point { return n.arena.At(int(id)) }
+
+// arenaOf returns a position arena holding pts in slot order.
+func arenaOf(pts []space.Point) space.Arena {
+	a := space.NewArena(len(pts[0]))
+	for i, p := range pts {
+		a.Set(i, p)
+	}
+	return a
+}
+
 func (n *testNet) proximity(k int) float64 {
 	total, count := 0.0, 0
 	for _, id := range n.engine.LiveIDs() {
 		for _, nb := range n.vic.Neighbors(id, k) {
-			total += n.space.Distance(n.positions[id], n.positions[nb])
+			total += n.space.Distance(n.pos(id), n.pos(nb))
 			count++
 		}
 	}
@@ -60,9 +75,9 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	cfg, err := Config{
-		Space:    space.NewEuclidean(2),
-		Sampler:  rps.New(rps.Config{}),
-		Position: func(sim.NodeID) space.Point { return space.Point{0, 0} },
+		Space:     space.NewEuclidean(2),
+		Sampler:   rps.New(rps.Config{}),
+		Positions: func() space.Arena { return space.NewArena(2) },
 	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +149,14 @@ func TestDynamicPositionsHonoured(t *testing.T) {
 	net := newTestNet(t, 4, s, pts, Config{})
 	net.engine.RunRounds(15)
 	target := space.Point{12, 4}
-	net.positions[0] = target
+	net.place(0, target)
 	net.engine.RunRounds(20)
 	nbs := net.vic.Neighbors(0, 4)
 	if len(nbs) == 0 {
 		t.Fatal("no neighbours after moving")
 	}
 	for _, nb := range nbs {
-		if d := s.Distance(target, net.positions[nb]); d > 3 {
+		if d := s.Distance(target, net.pos(nb)); d > 3 {
 			t.Fatalf("neighbour %d at distance %v after the move", nb, d)
 		}
 	}

@@ -179,8 +179,11 @@ type System struct {
 	interner *space.Interner
 	shapeIDs []space.PointID
 
-	// fixedPos pins positions of baseline nodes added after start.
-	fixedPos map[sim.NodeID]space.Point
+	// fixed is the position arena of pinned spots: slot id is the shape
+	// point of an initial node, or the position a later node was added
+	// at. It is every position under Baseline; under Polystyrene it
+	// supplies late joiners' initial positions.
+	fixed space.Arena
 }
 
 // NewSystem builds and wires a System; the initial population is one node
@@ -212,7 +215,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		space:    spc,
 		sampler:  rps.New(rps.Config{}),
 		interner: space.NewInterner(),
-		fixedPos: make(map[sim.NodeID]space.Point),
+		fixed:    space.NewArena(spc.Dim()),
 	}
 	sys.shape = make([]space.Point, len(cfg.Shape))
 	for i, p := range cfg.Shape {
@@ -221,13 +224,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 				i, len(p), spc.Dim())
 		}
 		sys.shape[i] = space.Point(p).Clone()
+		sys.fixed.Set(i, sys.shape[i])
 	}
 	sys.shapeIDs = sys.interner.InternAll(sys.shape)
 
 	tm, err := tman.New(tman.Config{
-		Space:    spc,
-		Sampler:  sys.sampler,
-		Position: sys.position,
+		Space:     spc,
+		Sampler:   sys.sampler,
+		Positions: sys.positions,
 	})
 	if err != nil {
 		return nil, err
@@ -273,22 +277,28 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	return sys, nil
 }
 
+// initialPoint seeds initial nodes with their shape point; nodes added
+// later via AddNodes start empty-handed at their pinned position.
 func (s *System) initialPoint(id sim.NodeID) (space.Point, bool) {
 	if int(id) < len(s.shape) {
 		return s.shape[id], true
 	}
-	// Nodes added later via AddNodes carry their own pinned position.
-	return s.fixedPos[id], false
+	return s.fixed.At(int(id)), false
 }
 
-func (s *System) position(id sim.NodeID) space.Point {
+// positions is the arena handle fed to T-Man: the Polystyrene
+// projections, or the pinned spots under Baseline.
+func (s *System) positions() space.Arena {
 	if s.poly != nil {
-		return s.poly.Position(id)
+		return s.poly.Positions()
 	}
-	if p, ok := s.fixedPos[id]; ok {
-		return p
-	}
-	return s.shape[id]
+	return s.fixed
+}
+
+// position returns node id's current position, a view into the arena
+// (valid until the node's next projection).
+func (s *System) position(id sim.NodeID) space.Point {
+	return s.positions().At(int(id))
 }
 
 // Run executes n gossip rounds.
@@ -326,7 +336,7 @@ func (s *System) CrashNodes(ids ...int) {
 
 // CrashRegion crashes every live node whose current position satisfies the
 // predicate — the paper's catastrophic correlated failure. It returns the
-// number of crashed nodes.
+// number of crashed nodes. pos is only valid during the call.
 func (s *System) CrashRegion(in func(pos []float64) bool) int {
 	killed := 0
 	for _, id := range s.engine.LiveIDs() {
@@ -349,8 +359,7 @@ func (s *System) AddNodes(positions [][]float64) ([]int, error) {
 				len(p), s.space.Dim())
 		}
 		// Record the position before AddNode so InitNode can read it.
-		next := sim.NodeID(s.engine.NumNodes())
-		s.fixedPos[next] = space.Point(p).Clone()
+		s.fixed.Set(s.engine.NumNodes(), p)
 		id := s.engine.AddNode()
 		out = append(out, int(id))
 	}

@@ -32,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+out="${1:-BENCH_13.json}"
 benchtime="${2:-5x}"
 
 go test -json -run '^$' \
