@@ -132,13 +132,16 @@ func (s *System) Restore(rd io.Reader) error {
 	}
 	r := snap.NewReader(body)
 	got := readSystemDigest(r)
-
-	fixed, err := snap.ReadArenaTail(r, s.space.Dim(), len(s.shape))
-	if err != nil {
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if want := s.digest(); got != want {
 		return fmt.Errorf("polystyrene: snapshot configuration %+v does not match this system %+v", got, want)
+	}
+
+	fixed, err := snap.ReadArenaTail(r, s.space.Dim(), len(s.shape))
+	if err != nil {
+		return err
 	}
 
 	if err := s.engine.RestoreState(r); err != nil {

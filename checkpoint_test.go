@@ -2,6 +2,7 @@ package polystyrene
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -92,6 +93,32 @@ func TestSystemRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("restore into a differently configured system accepted")
+	}
+
+	// Late-joined nodes' pinned spots are slotted after the shape: another
+	// shape size must fail on the digest, not on those slots.
+	joined := torusSystem(t, 7, false)
+	joined.Run(2)
+	if _, err := joined.AddNodes([][]float64{{0.5, 0.5}, {3.5, 2.5}}); err != nil {
+		t.Fatal(err)
+	}
+	joined.Run(1)
+	var jbuf bytes.Buffer
+	if err := joined.Snapshot(&jbuf); err != nil {
+		t.Fatal(err)
+	}
+	smaller, err := NewSystem(SystemConfig{
+		Seed:              7,
+		Space:             Torus(20, 10),
+		Shape:             TorusShape(10, 10, 1),
+		ReplicationFactor: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = smaller.Restore(bytes.NewReader(jbuf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("shape-size mismatch accepted or unclear error: %v", err)
 	}
 
 	bad := append([]byte(nil), buf.Bytes()...)

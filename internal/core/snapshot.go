@@ -109,10 +109,14 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // RestoreState implements sim.Snapshotter. The whole section is parsed
 // and validated before anything is touched — point dimensions, every
 // PointID against the snapshot's own point table, every NodeID against
-// its node count, the table's uniqueness and the detector section — and
-// only then are the shared interner, the splitter stream, the position
-// arena and the node table replaced. A refused snapshot therefore leaves
-// the protocol, and the interner other layers share, exactly as it was.
+// its node count and the table's uniqueness — and only then are the
+// detector, the shared interner, the splitter stream, the position arena
+// and the node table replaced. The detector restores its own section; the
+// detectors of package fd refuse a bad one (trailing bytes included)
+// before they change anything. With such a detector a refused snapshot
+// leaves the protocol, and the interner other layers share, exactly as it
+// was; a detector that changes itself and then fails breaks that promise
+// for its own state only.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	dim := p.cfg.Space.Dim()
 
@@ -260,8 +264,8 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	if hasDet != statefulDet {
 		return fmt.Errorf("core: snapshot detector state presence mismatch (snapshot %v, config %T)", hasDet, p.cfg.Detector)
 	}
-	// The detector restores last: it validates its own section before
-	// changing anything, and nothing of this layer has changed yet.
+	// The detector restores last, once nothing else can refuse the
+	// snapshot and before anything of this layer changes.
 	if hasDet {
 		sub := r.Section()
 		if err := r.Err(); err != nil {

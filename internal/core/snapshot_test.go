@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 
+	"polystyrene/internal/fd"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
@@ -57,6 +59,35 @@ func TestRestoreStateRefusesBeforeMutating(t *testing.T) {
 		{"duplicate table point", "duplicate point at ID 1", section([]space.Point{{1, 2}, {1, 2}}, func(*snap.Writer) {})},
 	}
 
+	// A detector section that is valid but for a trailing byte, behind an
+	// otherwise untouched snapshot of this protocol: the detector must
+	// refuse it before it changes, and the protocol stay as it was.
+	det := fd.NewDelayed(2)
+	p.cfg.Detector = det
+	st.engine.Kill(3)
+	st.engine.RunRounds(1)
+	p.cfg.Detector = fd.Perfect{}
+	var prefix snap.Writer
+	p.SnapshotState(&prefix)
+	p.cfg.Detector = det
+	var detBefore snap.Writer
+	det.SnapshotState(&detBefore)
+	if len(detBefore.Bytes()) <= 8 {
+		t.Fatal("the delayed detector recorded no death to restore over")
+	}
+	var bad, tail snap.Writer
+	bad.Len(1)
+	bad.Int(5)
+	bad.Int(0)
+	tail.Bool(true)
+	tail.Section(append(bad.Bytes(), 0))
+	body := prefix.Bytes()
+	body = append(body[:len(body)-1:len(body)-1], tail.Bytes()...) // replace the "no detector" flag
+	cases = append(cases, struct {
+		name, want string
+		body       []byte
+	}{"detector section with a trailing byte", "trailing bytes", body})
+
 	in := p.Interner()
 	wantTable := make([]space.Point, in.Len())
 	for i := range wantTable {
@@ -69,6 +100,11 @@ func TestRestoreStateRefusesBeforeMutating(t *testing.T) {
 		err := p.RestoreState(snap.NewReader(c.body))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: RestoreState error %v, want one containing %q", c.name, err, c.want)
+		}
+		var detAfter snap.Writer
+		det.SnapshotState(&detAfter)
+		if !bytes.Equal(detAfter.Bytes(), detBefore.Bytes()) {
+			t.Fatalf("%s: detector changed by the refused restore", c.name)
 		}
 		if in.Len() != len(wantTable) {
 			t.Fatalf("%s: interner holds %d points after the refused restore, want %d", c.name, in.Len(), len(wantTable))

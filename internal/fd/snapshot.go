@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"sort"
 
 	"polystyrene/internal/sim"
@@ -12,6 +13,13 @@ import (
 // the Polystyrene layer's configuration — so they implement the same
 // sim.Snapshotter contract and the core layer embeds their section in its
 // own. Perfect is stateless and deliberately implements nothing.
+//
+// Each RestoreState decodes its whole section and refuses it — malformed,
+// with trailing bytes, or naming a negative NodeID — before it assigns
+// anything, so a refused section leaves the detector as it was. Upper
+// NodeID bounds are the embedding layer's business: a detector does not
+// know the node count, and an entry for a node that never exists is never
+// queried.
 
 var _ sim.Snapshotter = (*Delayed)(nil)
 var _ sim.Snapshotter = (*Probabilistic)(nil)
@@ -39,10 +47,13 @@ func (d *Delayed) RestoreState(r *snap.Reader) error {
 	n := r.Len(16)
 	m := make(map[sim.NodeID]int, n)
 	for i := 0; i < n; i++ {
-		id := sim.NodeID(r.Int())
-		m[id] = r.Int()
+		id := r.Int()
+		if id < 0 {
+			return fmt.Errorf("fd: snapshot death round for invalid node %d", id)
+		}
+		m[sim.NodeID(id)] = r.Int()
 	}
-	if err := r.Err(); err != nil {
+	if err := snap.CloseSection("delayed detector", r); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -87,10 +98,13 @@ func (d *Probabilistic) RestoreState(r *snap.Reader) error {
 	n := r.Len(16)
 	m := make(map[pair]bool, n)
 	for i := 0; i < n; i++ {
-		k := pair{observer: sim.NodeID(r.Int()), target: sim.NodeID(r.Int())}
-		m[k] = true
+		observer, target := r.Int(), r.Int()
+		if observer < 0 || target < 0 {
+			return fmt.Errorf("fd: snapshot detection of node %d by node %d names an invalid node", target, observer)
+		}
+		m[pair{observer: sim.NodeID(observer), target: sim.NodeID(target)}] = true
 	}
-	if err := r.Err(); err != nil {
+	if err := snap.CloseSection("probabilistic detector", r); err != nil {
 		return err
 	}
 	if d.rng == nil {

@@ -289,6 +289,33 @@ func TestRestoreRejectsDetectorMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsGridMismatchAfterReinjection: a baseline snapshot
+// carries the pinned spots of its reinjected nodes, slotted after the
+// original grid. Restored into a scenario of another grid size it must
+// fail on the configuration digest, before those slots are read against
+// the wrong grid.
+func TestRestoreRejectsGridMismatchAfterReinjection(t *testing.T) {
+	cfg := Config{Seed: 5, W: 8, H: 4}
+	sc := MustNew(cfg)
+	defer sc.Close()
+	sc.Run(2)
+	sc.Reinject(3)
+	sc.Run(1)
+	var buf bytes.Buffer
+	if err := sc.SnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	wider := cfg
+	wider.W = 10
+	other := MustNew(wider)
+	defer other.Close()
+	err := other.Restore(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("grid mismatch accepted or unclear error: %v", err)
+	}
+}
+
 // TestCloseIsIdempotent: Close on Engine and Scenario (and the facade
 // System, tested in the root package) must be safe to call twice — the
 // graceful-shutdown path closes once on signal and once in a defer.

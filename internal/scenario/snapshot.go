@@ -145,6 +145,12 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 	}
 	r := snap.NewReader(body)
 	got := readDigest(r)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if want := digestOf(sc.Cfg); got != want {
+		return fmt.Errorf("scenario: snapshot configuration %+v does not match this scenario %+v", got, want)
+	}
 
 	fixed, err := snap.ReadArenaTail(r, sc.Space.Dim(), len(sc.Points))
 	if err != nil {
@@ -162,9 +168,6 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 	}
 	if err := r.Err(); err != nil {
 		return err
-	}
-	if want := digestOf(sc.Cfg); got != want {
-		return fmt.Errorf("scenario: snapshot configuration %+v does not match this scenario %+v", got, want)
 	}
 
 	if err := sc.Engine.RestoreState(r); err != nil {

@@ -93,31 +93,6 @@ func Distances[I ~int](s Space, a Arena, target Point, slots []I, dist []float64
 		panic(fmt.Sprintf("space: arena of dimension %d ranked in a torus of dimension %d", a.dim, dim))
 	}
 	coords := a.coords
-	if dim == 2 {
-		w0, w1 := t.widths[0], t.widths[1]
-		x, y := target[0], target[1]
-		for i, c := range slots {
-			o := 2 * int(c)
-			p := coords[o : o+2 : o+2]
-			// wrapDelta written out for both dimensions: the compiler does
-			// not inline it, and this loop is the simulator's hottest.
-			d0 := math.Abs(p[0] - x)
-			if d0 >= w0 {
-				d0 = math.Mod(d0, w0)
-			}
-			d0 = min(d0, w0-d0)
-			d1 := math.Abs(p[1] - y)
-			if d1 >= w1 {
-				d1 = math.Mod(d1, w1)
-			}
-			d1 = min(d1, w1-d1)
-			sum := 0.0
-			sum += d0 * d0
-			sum += d1 * d1
-			dist[i] = math.Sqrt(sum)
-		}
-		return
-	}
 	for i, c := range slots {
 		o := dim * int(c)
 		p := coords[o : o+dim : o+dim]
